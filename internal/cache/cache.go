@@ -41,29 +41,47 @@ type Victim struct {
 	Value uint64
 }
 
-type way struct {
-	tag   int64 // line-aligned address, valid when state != Invalid
-	state LineState
-	lru   uint32
-	value uint64
-}
-
 // Cache is a set-associative, LRU-replacement tag array. It is not
 // goroutine-safe; the simulation is single-threaded.
+//
+// Per-way state lives in parallel arrays, set-major. Every way has one
+// tag word: the line-aligned address with the LineState in its low two
+// bits, so 0 is an Invalid way. Associative caches add a uint32 clock
+// stamp per way for true LRU; a direct-mapped cache always evicts its
+// only way and keeps none. Only caches built by NewWithValues keep a
+// value per way. That is 8 bytes a way direct-mapped and 12
+// associative, plus 8 with values.
 type Cache struct {
 	sets, ways int
 	lineBytes  int64
 	setMask    int64
 	lineShift  uint
-	data       []way // sets*ways, set-major
+	tags       []uint64 // sets*ways tag words; 0 = Invalid
+	lru        []uint32 // sets*ways clock stamps; nil when direct-mapped
+	values     []uint64 // sets*ways values; nil unless built by NewWithValues
 	clock      uint32
 
 	hits, misses uint64
 }
 
-// New builds a cache of the given total size. sizeBytes must be an exact
-// multiple of ways*lineBytes and yield a power-of-two set count.
+// stateMask selects a tag word's LineState bits.
+const stateMask = 3
+
+// New builds a cache of the given total size that keeps no line values:
+// Fill and SetValue discard them, and Value, Downgrade, Invalidate and
+// victims report 0. sizeBytes must be an exact multiple of
+// ways*lineBytes and yield a power-of-two set count.
 func New(sizeBytes int64, ways int, lineBytes int64) *Cache {
+	return newCache(sizeBytes, ways, lineBytes, false)
+}
+
+// NewWithValues builds a cache like New that also stores a value per
+// line, for a protocol that reads values back to verify coherence.
+func NewWithValues(sizeBytes int64, ways int, lineBytes int64) *Cache {
+	return newCache(sizeBytes, ways, lineBytes, true)
+}
+
+func newCache(sizeBytes int64, ways int, lineBytes int64, values bool) *Cache {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		panic("cache: non-positive geometry")
 	}
@@ -81,14 +99,25 @@ func New(sizeBytes int64, ways int, lineBytes int64) *Cache {
 		}
 		shift++
 	}
-	return &Cache{
+	if lineBytes <= stateMask {
+		panic("cache: line size leaves no tag bits for the state")
+	}
+	n := int(sets) * ways
+	c := &Cache{
 		sets:      int(sets),
 		ways:      ways,
 		lineBytes: lineBytes,
 		setMask:   sets - 1,
 		lineShift: shift,
-		data:      make([]way, int(sets)*ways),
+		tags:      make([]uint64, n),
 	}
+	if ways > 1 {
+		c.lru = make([]uint32, n)
+	}
+	if values {
+		c.values = make([]uint64, n)
+	}
+	return c
 }
 
 // SizeBytes reports the cache capacity.
@@ -100,139 +129,164 @@ func (c *Cache) LineBytes() int64 { return c.lineBytes }
 // Align returns the line-aligned address containing addr.
 func (c *Cache) Align(addr int64) int64 { return addr &^ (c.lineBytes - 1) }
 
-func (c *Cache) set(addr int64) []way {
-	s := int((addr >> c.lineShift) & c.setMask)
-	return c.data[s*c.ways : (s+1)*c.ways]
+// setBase returns the index of addr's set's first way.
+func (c *Cache) setBase(addr int64) int {
+	return int((addr>>c.lineShift)&c.setMask) * c.ways
+}
+
+// find returns the index of the valid way holding addr, or -1.
+func (c *Cache) find(addr int64) int {
+	tag := uint64(c.Align(addr))
+	base := c.setBase(addr)
+	for i, w := range c.tags[base : base+c.ways] {
+		if w&^stateMask == tag && w&stateMask != 0 {
+			return base + i
+		}
+	}
+	return -1
+}
+
+func (c *Cache) value(i int) uint64 {
+	if c.values == nil {
+		return 0
+	}
+	return c.values[i]
 }
 
 // Lookup probes for addr without modifying replacement state. It reports
 // the line's state (Invalid on miss).
+//
+//gs:noalloc guard=TestCacheHotPathZeroAlloc
 func (c *Cache) Lookup(addr int64) LineState {
-	tag := c.Align(addr)
-	for i := range c.set(addr) {
-		w := &c.set(addr)[i]
-		if w.state != Invalid && w.tag == tag {
-			return w.state
-		}
+	if i := c.find(addr); i >= 0 {
+		return LineState(c.tags[i] & stateMask)
 	}
 	return Invalid
 }
 
 // Access probes for addr, updating LRU and hit/miss counters. It reports
 // whether the access hit (any valid state).
+//
+//gs:noalloc guard=TestCacheHotPathZeroAlloc
 func (c *Cache) Access(addr int64) bool {
-	tag := c.Align(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			c.clock++
-			set[i].lru = c.clock
-			c.hits++
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		c.misses++
+		return false
 	}
-	c.misses++
-	return false
+	c.clock++
+	if c.lru != nil {
+		c.lru[i] = c.clock
+	}
+	c.hits++
+	return true
 }
 
 // Fill installs addr with the given state, returning the displaced victim
 // if a valid line had to be evicted. Filling a line that is already
 // present updates its state in place (e.g. a Shared line upgraded to
 // Exclusive by a write) and never produces a victim.
+//
+//gs:noalloc guard=TestCacheHotPathZeroAlloc
 func (c *Cache) Fill(addr int64, state LineState, value uint64) (Victim, bool) {
 	if state == Invalid {
 		panic("cache: Fill with Invalid state")
 	}
-	tag := c.Align(addr)
-	set := c.set(addr)
+	tag := uint64(c.Align(addr))
+	base := c.setBase(addr)
+	set := c.tags[base : base+c.ways]
 	c.clock++
-	// Upgrade in place.
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			set[i].state = state
-			set[i].lru = c.clock
-			set[i].value = value
-			return Victim{}, false
-		}
-	}
-	// Prefer an invalid way; otherwise evict true-LRU.
-	victimIdx := -1
-	for i := range set {
-		if set[i].state == Invalid {
-			victimIdx = i
+	// Upgrade in place; else take the first invalid way.
+	slot := -1
+	for i, w := range set {
+		if w&^stateMask == tag && w&stateMask != 0 {
+			slot = i
 			break
+		}
+		if w == 0 && slot < 0 {
+			slot = i
 		}
 	}
 	evicted := Victim{}
 	hasVictim := false
-	if victimIdx < 0 {
-		victimIdx = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[victimIdx].lru {
-				victimIdx = i
+	if slot < 0 {
+		// Every way is valid: evict true-LRU.
+		slot = 0
+		if c.lru != nil {
+			lru := c.lru[base : base+c.ways]
+			for i := 1; i < len(lru); i++ {
+				if lru[i] < lru[slot] {
+					slot = i
+				}
 			}
 		}
-		w := &set[victimIdx]
-		evicted = Victim{Addr: w.tag, Dirty: w.state == ExclusiveDirty, Value: w.value}
+		w := set[slot]
+		evicted = Victim{Addr: int64(w &^ stateMask), Dirty: LineState(w&stateMask) == ExclusiveDirty, Value: c.value(base + slot)}
 		hasVictim = true
 	}
-	set[victimIdx] = way{tag: tag, state: state, lru: c.clock, value: value}
+	set[slot] = tag | uint64(state)
+	if c.lru != nil {
+		c.lru[base+slot] = c.clock
+	}
+	if c.values != nil {
+		c.values[base+slot] = value
+	}
 	return evicted, hasVictim
 }
 
 // Invalidate removes addr if present, reporting the line's prior state and
 // value (for dirty-data forwarding on invalidation).
+//
+//gs:noalloc guard=TestCacheHotPathZeroAlloc
 func (c *Cache) Invalidate(addr int64) (LineState, uint64) {
-	tag := c.Align(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			prev, val := set[i].state, set[i].value
-			set[i] = way{}
-			return prev, val
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return Invalid, 0
 	}
-	return Invalid, 0
+	prev, val := LineState(c.tags[i]&stateMask), c.value(i)
+	c.tags[i] = 0
+	if c.lru != nil {
+		c.lru[i] = 0
+	}
+	if c.values != nil {
+		c.values[i] = 0
+	}
+	return prev, val
 }
 
 // Downgrade moves an exclusive line to shared (after the owner services a
 // read forward), reporting whether the line was present and its value.
+//
+//gs:noalloc guard=TestCacheHotPathZeroAlloc
 func (c *Cache) Downgrade(addr int64) (uint64, bool) {
-	tag := c.Align(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].state == ExclusiveDirty && set[i].tag == tag {
-			set[i].state = SharedClean
-			return set[i].value, true
-		}
+	i := c.find(addr)
+	if i < 0 || LineState(c.tags[i]&stateMask) != ExclusiveDirty {
+		return 0, false
 	}
-	return 0, false
+	c.tags[i] = c.tags[i]&^stateMask | uint64(SharedClean)
+	return c.value(i), true
 }
 
 // Value reports the stored value of addr, if present.
 func (c *Cache) Value(addr int64) (uint64, bool) {
-	tag := c.Align(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			return set[i].value, true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	return c.value(i), true
 }
 
 // SetValue updates the stored value of addr (the requester writing into an
 // exclusive line). It reports whether the line was present.
 func (c *Cache) SetValue(addr int64, v uint64) bool {
-	tag := c.Align(addr)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			set[i].value = v
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	if c.values != nil {
+		c.values[i] = v
+	}
+	return true
 }
 
 // Hits reports hit count since the last ResetStats.
@@ -248,12 +302,13 @@ func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 // end of verification runs to account for unwritten data).
 func (c *Cache) Flush() []Victim {
 	var dirty []Victim
-	for i := range c.data {
-		w := &c.data[i]
-		if w.state == ExclusiveDirty {
-			dirty = append(dirty, Victim{Addr: w.tag, Dirty: true, Value: w.value})
+	for i, w := range c.tags {
+		if LineState(w&stateMask) == ExclusiveDirty {
+			dirty = append(dirty, Victim{Addr: int64(w &^ stateMask), Dirty: true, Value: c.value(i)})
 		}
-		*w = way{}
 	}
+	clear(c.tags)
+	clear(c.lru)
+	clear(c.values)
 	return dirty
 }

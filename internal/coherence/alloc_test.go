@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"gs1280/internal/memctrl"
 	"gs1280/internal/network"
@@ -125,9 +126,18 @@ func TestDirEntryQueueMemoryBounded(t *testing.T) {
 		e.pushQueue(homeMsg{from: topology.NodeID(i % 4)})
 		e.popQueue() // depth stays at 8+1; the queue is never empty
 	}
-	if got := cap(e.queue); got > 16*depth {
+	if got := cap(e.q.msgs); got > 16*depth {
 		t.Fatalf("queue cap %d after %d messages at depth %d; dead prefix not compacted",
 			got, total, depth)
+	}
+}
+
+// TestDirEntrySize guards the directory's per-line footprint: every
+// referenced line of every home holds a dirEntry, so the transaction
+// queue stays in its side record and the entry stays at 40 bytes.
+func TestDirEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(dirEntry{}); got > 40 {
+		t.Fatalf("dirEntry is %d bytes, want <= 40", got)
 	}
 }
 

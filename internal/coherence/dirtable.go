@@ -41,7 +41,7 @@ func (t *dirTable) get(slot int64) *dirEntry {
 	if slot < dirDenseSlots {
 		pg := t.pages[slot>>dirPageShift]
 		if pg == nil {
-			pg = new([dirPageLines]dirEntry) //lint:alloc-ok lazy page fault, once per 256-line window'
+			pg = new([dirPageLines]dirEntry) //lint:alloc-ok lazy page fault, once per 4096-line dense page
 			t.pages[slot>>dirPageShift] = pg
 		}
 		return &pg[slot&(dirPageLines-1)]

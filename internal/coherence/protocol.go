@@ -92,23 +92,41 @@ type homeMsg struct {
 // dirEntry is one line's home directory state, stored in the home's
 // slot-indexed dirTable. The zero value is a fresh idle entry; used is
 // set on the first request so quiesced-state inspection can tell touched
-// lines from never-referenced ones. The transaction queue is
-// head-indexed so its backing array is reused across the entry's whole
-// lifetime instead of leaking a slice head per pop.
+// lines from never-referenced ones. Most lines are never contended, so
+// the transaction queue lives in a side record allocated on the line's
+// first queued request; the small fields sit together at the end, which
+// keeps the entry at 40 bytes.
 type dirEntry struct {
-	state   dirState
 	owner   topology.NodeID
 	sharers uint64
 	value   uint64
+	q       *lineQueue // nil until the line's first queued request
+	state   dirState
 	busy    bool
 	used    bool
-	queue   []homeMsg
-	qhead   int
 }
 
-func (e *dirEntry) queued() int { return len(e.queue) - e.qhead }
+// lineQueue is a contended line's transaction queue. It is head-indexed,
+// and it stays with its entry for the entry's whole lifetime, so its
+// backing array is reused instead of leaking a slice head per pop.
+type lineQueue struct {
+	msgs []homeMsg
+	head int
+}
 
-func (e *dirEntry) pushQueue(m homeMsg) { e.queue = append(e.queue, m) }
+func (e *dirEntry) queued() int {
+	if e.q == nil {
+		return 0
+	}
+	return len(e.q.msgs) - e.q.head
+}
+
+func (e *dirEntry) pushQueue(m homeMsg) {
+	if e.q == nil {
+		e.q = new(lineQueue) //lint:alloc-ok side record, once per contended line's lifetime
+	}
+	e.q.msgs = append(e.q.msgs, m)
+}
 
 // popQueue removes the head message. A continuously contended line never
 // fully drains, so in addition to the reset-when-empty fast path the dead
@@ -116,16 +134,17 @@ func (e *dirEntry) pushQueue(m homeMsg) { e.queue = append(e.queue, m) }
 // O(peak depth) however many requests pass through, and each element is
 // copied at most once per compaction window — amortized O(1).
 func (e *dirEntry) popQueue() homeMsg {
-	m := e.queue[e.qhead]
-	e.qhead++
+	q := e.q
+	m := q.msgs[q.head]
+	q.head++
 	switch {
-	case e.qhead == len(e.queue):
-		e.queue = e.queue[:0]
-		e.qhead = 0
-	case e.qhead >= 16 && e.qhead*2 >= len(e.queue):
-		n := copy(e.queue, e.queue[e.qhead:])
-		e.queue = e.queue[:n]
-		e.qhead = 0
+	case q.head == len(q.msgs):
+		q.msgs = q.msgs[:0]
+		q.head = 0
+	case q.head >= 16 && q.head*2 >= len(q.msgs):
+		n := copy(q.msgs, q.msgs[q.head:])
+		q.msgs = q.msgs[:n]
+		q.head = 0
 	}
 	return m
 }
@@ -342,7 +361,7 @@ func NewSystem(eng *sim.Engine, net *network.Network, amap AddressMap, params Pa
 			sys: s,
 			id:  topology.NodeID(i),
 			l1:  cache.New(params.L1Bytes, params.L1Ways, params.LineBytes),
-			l2:  cache.New(params.L2Bytes, params.L2Ways, params.LineBytes),
+			l2:  cache.NewWithValues(params.L2Bytes, params.L2Ways, params.LineBytes),
 			maf: make([]mafEntry, params.MAFEntries),
 		}
 		for j := range nd.maf {

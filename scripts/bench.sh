@@ -6,14 +6,15 @@
 # history of the simulator lives in the repo.
 #
 # Usage:
-#   scripts/bench.sh [output.json]          # default BENCH_pr9.json
+#   scripts/bench.sh [output.json]          # default BENCH_ci.json
 #   BENCHTIME=300000x scripts/bench.sh      # heavier, steadier numbers
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_pr9.json}"
+out="${1:-BENCH_ci.json}"
 # The PR number is derived from the output filename (BENCH_pr<N>.json),
-# so future PRs get correctly stamped points by just naming their file.
+# so future PRs get correctly stamped points by just naming their file;
+# any other name (CI's BENCH_ci.json) is stamped 0.
 pr="$(basename "$out" | sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$/\1/p')"
 pr="${pr:-0}"
 benchtime="${BENCHTIME:-100000x}"
@@ -21,8 +22,9 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 # Hot-path microbenchmarks: end-to-end workloads (cache -> coherence ->
-# network -> memctrl), the coherence read-miss cycle, the link pump, and
-# the event engine. Iteration-count benchtime keeps points comparable.
+# network -> memctrl), the coherence read-miss cycle, the link pump, the
+# event engine, the histogram, and the cache probe and fill on both L2
+# geometries. Iteration-count benchtime keeps points comparable.
 go test -run '^$' -bench 'BenchmarkWorkloadDependentLoad$|BenchmarkWorkloadGUPS$' \
     -benchtime "$benchtime" -benchmem . | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkReadMiss' \
@@ -33,6 +35,8 @@ go test -run '^$' -bench 'BenchmarkEngineChurnTyped$' \
     -benchtime "$benchtime" -benchmem ./internal/sim | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkHistogramRecord$' \
     -benchtime "$benchtime" -benchmem ./internal/stats | tee -a "$tmp"
+go test -run '^$' -bench 'BenchmarkCacheAccess$|BenchmarkCacheFill$' \
+    -benchtime "$benchtime" -benchmem ./internal/cache | tee -a "$tmp"
 
 # Wall-clock of the experiments regression suite — the headline number
 # the ROADMAP's "as fast as the hardware allows" goal tracks.

@@ -10,7 +10,8 @@
 // guards watch for. CI's bench-smoke job runs benchguard against the
 // checked-in previous-PR file, so a scheduling or pooling regression
 // fails the build instead of silently eroding the speed history the
-// BENCH_pr<N>.json files track.
+// BENCH_pr<N>.json files track. Benchmarks absent from the baseline are
+// listed but never fail the gate.
 //
 // The baseline file is typically measured on different hardware than
 // the CI runner, which scales every benchmark's ns/op by roughly the
@@ -136,6 +137,19 @@ func compare(base, cur trajectory, lim limits) (lines []string, failed bool) {
 		}
 		lines = append(lines, fmt.Sprintf("benchguard: %-32s %8.1f -> %8.1f ns/op (%+.0f%% vs peers)  %s",
 			name, b.NsPerOp, n.NsPerOp, regress*100, status))
+	}
+	// A benchmark the baseline lacks has nothing to regress against: it
+	// is reported, never failed, and the next committed point guards it.
+	added := make([]string, 0, len(cur.Benchmarks))
+	for name := range cur.Benchmarks {
+		if _, ok := base.Benchmarks[name]; !ok {
+			added = append(added, name)
+		}
+	}
+	sort.Strings(added)
+	for _, name := range added {
+		lines = append(lines, fmt.Sprintf("benchguard: %-32s %8s -> %8.1f ns/op  new (no baseline)",
+			name, "-", cur.Benchmarks[name].NsPerOp))
 	}
 	if base.SuiteSeconds > 0 && cur.SuiteSeconds > 0 {
 		lines = append(lines, fmt.Sprintf("benchguard: experiments suite %.1fs -> %.1fs", base.SuiteSeconds, cur.SuiteSeconds))

@@ -133,3 +133,15 @@ func TestNoCommonBenchmarksFails(t *testing.T) {
 		t.Error("disjoint benchmark sets must fail, not silently pass")
 	}
 }
+
+func TestNewBenchmarkPasses(t *testing.T) {
+	b := map[string]point{"BenchmarkA": {NsPerOp: 100}}
+	n := map[string]point{
+		"BenchmarkA":   {NsPerOp: 100},
+		"BenchmarkNew": {NsPerOp: 1e6, BytesPerOp: 4096, AllocsOp: 9},
+	}
+	out, failed := run(t, b, n, true)
+	if failed || !strings.Contains(out, "BenchmarkNew") || !strings.Contains(out, "new (no baseline)") {
+		t.Errorf("a benchmark the baseline lacks must be reported, not failed:\n%s", out)
+	}
+}
